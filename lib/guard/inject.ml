@@ -16,20 +16,33 @@
     sweep. *)
 
 (** [abort_at n] trips a {!Guard.Fault} exactly at event [n] (one-shot:
-    the engine stays usable afterwards without swapping guards). *)
-let abort_at ?timeout ?max_steps ?max_table_bytes n : Guard.t =
+    the engine stays usable afterwards without swapping guards).
+    [probe] runs at event [n] just before the trip, so a sweep can
+    inspect the tables as they stand at the abort point, before
+    recovery repairs them. *)
+let abort_at ?timeout ?max_steps ?max_table_bytes ?(probe = ignore) n :
+    Guard.t =
   Guard.create ?timeout ?max_steps ?max_table_bytes
     ~on_event:(fun k ->
-      if k = n then raise (Guard.Exhausted (Guard.Fault "injected-abort")))
+      if k = n then begin
+        probe ();
+        raise (Guard.Exhausted (Guard.Fault "injected-abort"))
+      end)
     ()
 
 (** [raise_at n exn] raises an arbitrary exception at event [n] —
     modelling a crashing user builtin rather than a budget trip.  The
     engine must recover its table invariants (discarding entries whose
     producers were interrupted) rather than degrade to a partial
-    result. *)
-let raise_at n exn : Guard.t =
-  Guard.create ~on_event:(fun k -> if k = n then raise exn) ()
+    result.  [probe] is as for {!abort_at}. *)
+let raise_at ?(probe = ignore) n exn : Guard.t =
+  Guard.create
+    ~on_event:(fun k ->
+      if k = n then begin
+        probe ();
+        raise exn
+      end)
+    ()
 
 (** Event span of a deterministic run: execute [f] under a counting
     guard and return how many events it saw.  The sweep range for

@@ -13,7 +13,11 @@
       eagerly pushed to every registered consumer;
     - later occurrences of the same call variant become *consumers*: they
       replay the answers present at registration time and receive all
-      later answers through the eager broadcast.
+      later answers through the eager broadcast;
+    - an entry whose producer is exhausted and whose dependencies are all
+      *closed* is itself closed: it can never gain another answer, so a
+      call that finds it replays its answers like facts and registers no
+      consumer, as XSB reads a completed table.
 
     For definite programs this computes the minimal model restricted to
     the call forest, and terminates whenever calls and answers range over
@@ -156,6 +160,12 @@ type entry = {
           exhausted, so abort recovery must treat this entry as open
           whenever a dep is open *)
   mutable completed : bool;  (** producer exhausted clause resolution *)
+  mutable closed : bool;
+      (** completed, and every entry in [deps] closed: no answer can
+          reach it any more, so it holds no consumers and later calls
+          only replay it.  Set when the producer finishes with closed
+          deps or when the resolver splices the entry; entries on a
+          dependency cycle stay open. *)
   mutable mark : bool;  (** scratch for abort-recovery closure computation *)
 }
 
@@ -288,14 +298,21 @@ let grow_space e words =
 
 let table_space_bytes e : int = 8 * e.space_words
 
+(* No answer can reach a closed entry any more: its consumers have seen
+   every answer it will ever have, so drop them (and the caller
+   substitutions and continuations they hold). *)
+let close entry =
+  entry.closed <- true;
+  Vec.clear entry.consumers
+
 (* Find or create the table entry for an already-canonical call [key].
    Incremental splice (docs/INCREMENTAL.md): a fresh entry may be
    answered from a persisted table fragment instead of by running its
    producer.  Installed answers go through the same dedup trie and
    space accounting as produced ones, so `dump_tables`,
    `table_space_bytes`, and the consistency invariants are
-   indistinguishable from a fresh computation; the entry completes
-   immediately (a fragment holds a complete answer set by
+   indistinguishable from a fresh computation; the entry completes and
+   closes immediately (a fragment holds a complete answer set by
    construction — only Complete runs persist). *)
 let find_entry e key =
   let mk_entry () =
@@ -307,6 +324,7 @@ let find_entry e key =
       consumers = Vec.create ();
       deps = Vec.create ();
       completed = false;
+      closed = false;
       mark = false;
     }
   in
@@ -340,6 +358,7 @@ let find_entry e key =
                     grow_space e words)
               answers;
             entry.completed <- true;
+            close entry;
             e.spliced <- e.spliced + 1)
   end;
   (entry, is_new)
@@ -464,12 +483,14 @@ and solve_tabled e s goal sc =
   in
   (* Snapshot-then-register so each answer reaches this consumer exactly
      once: answers arriving after registration come via the broadcast.
-     [find_entry] splices before we get here, so spliced answers are
+     A closed entry gets no more answers, so it is only replayed: keeping
+     the consumer would retain [s] and [sc] for nothing.  [find_entry]
+     splices (and closes) before we get here, so spliced answers are
      delivered through the replay below exactly like the answers an
      existing entry would replay. *)
   let n0 = Vec.length entry.answers in
   Metrics.incr m_suspensions;
-  Vec.push entry.consumers consumer;
+  if not entry.closed then Vec.push entry.consumers consumer;
   if is_new && not entry.completed then producer e entry;
   for i = 0 to n0 - 1 do
     consumer (Vec.get entry.answers i)
@@ -526,9 +547,13 @@ and producer e entry =
     (Database.matching e.db Subst.empty call);
   (* All program clauses for this call variant are exhausted.  With eager
      broadcast there is no separate completion phase; this is the closest
-     event to an SCC completion. *)
+     event to an SCC completion.  If every entry the producer consumed
+     from is closed, nothing can resume its clause bodies any more, so
+     the entry is closed too and its consumers, which have seen every
+     answer through the broadcast, are dropped. *)
   e.producing <- List.tl e.producing;
   entry.completed <- true;
+  if Vec.fold (fun acc d -> acc && d.closed) true entry.deps then close entry;
   Metrics.incr m_completions
 
 (* --- abort recovery ----------------------------------------------------- *)
@@ -555,12 +580,13 @@ let closed_set e =
   done
 
 (* Stale consumers hold continuations of the aborted run; none of them
-   may ever be poked again.  Closed entries keep their (exact) answers
-   and will only ever be replayed. *)
+   may ever be poked again.  A scrubbed entry is completed with no deps,
+   so it is closed: it keeps its (exact or widened) answers and will
+   only ever be replayed. *)
 let scrub_entry entry =
-  Vec.clear entry.consumers;
   Vec.clear entry.deps;
   entry.completed <- true;
+  close entry;
   entry.mark <- false
 
 (* Budget exhaustion: degrade to a sound over-approximation.  Every
@@ -633,8 +659,9 @@ let recover_after_error e =
   e.producing <- []
 
 (* Table invariants, checked by the fault-injection tests: every entry's
-   answer vector and dedup set agree, and after any abort every entry is
-   completed with no registered consumers or dependency edges. *)
+   answer vector and dedup set agree; a closed entry is completed, holds
+   no consumers, and consumes only from closed entries; and after any
+   abort every entry is closed with no dependency edges left. *)
 let tables_consistent ?(after_abort = false) e : bool =
   Trie.fold
     (fun _ entry ok ->
@@ -643,10 +670,11 @@ let tables_consistent ?(after_abort = false) e : bool =
       && Vec.fold
            (fun acc a -> acc && Trie.mem entry.answer_set a)
            true entry.answers
-      && ((not after_abort)
+      && ((not entry.closed)
          || entry.completed
             && Vec.length entry.consumers = 0
-            && Vec.length entry.deps = 0))
+            && Vec.fold (fun acc d -> acc && d.closed) true entry.deps)
+      && ((not after_abort) || (entry.closed && Vec.length entry.deps = 0)))
     e.tables true
   && (not after_abort || e.producing = [])
 
@@ -826,6 +854,16 @@ let export_tables e : exported list =
       :: acc)
     e.tables []
   |> List.sort (fun a b -> Term.compare a.ex_call b.ex_call)
+
+(* Consumer continuations still registered across all entries: only
+   entries that can still gain answers (open ones) keep any. *)
+let retained_consumers e : int =
+  Trie.fold (fun _ entry n -> n + Vec.length entry.consumers) e.tables 0
+
+let is_closed e (key : Term.t) : bool =
+  match Trie.find_opt e.tables key with
+  | Some entry -> entry.closed
+  | None -> false
 
 let stats e = e.stats
 

@@ -2,7 +2,8 @@
 
     A continuation-passing formulation of OLDT/SLG for definite
     programs: variant-based call tables, answer tables with duplicate
-    elimination, eager answer propagation to registered consumers.  For
+    elimination, eager answer propagation to registered consumers, and
+    consumer-free replay of closed (completed) tables.  For
     definite programs it computes the minimal model restricted to the
     call forest and terminates whenever calls and answers range over a
     finite domain — the completeness guarantee the paper's analyses rely
@@ -52,14 +53,17 @@ val concrete_hooks : hooks
       new answers recorded vs. variants suppressed; inserted + deduped =
       offered;
     - [engine.consumer_suspensions] — consumer registrations on a table
-      entry (one per tabled call occurrence);
+      entry (one per tabled call occurrence); a call that finds a closed
+      entry is counted too, but only replays its answers and keeps no
+      consumer;
     - [engine.consumer_resumptions] — answer deliveries to consumers,
       replay and eager broadcast alike (equals
       {!field-stats.resumptions} summed over engines);
     - [engine.producer_completions] — producers that exhausted clause
       resolution; with eager answer broadcast there is no separate
       completion phase, so this is the engine's analogue of an SCC
-      completion;
+      completion.  It closes the entry when every entry the producer
+      consumed from is already closed;
     - [engine.widenings] — applications of the {!hooks.widen} hook;
     - [engine.aborts] — governed runs torn down by budget exhaustion or
       an exception unwinding through the engine;
@@ -218,9 +222,22 @@ val table_digest : t -> string
 
 val tables_consistent : ?after_abort:bool -> t -> bool
 (** Table invariants, for tests and debugging: every entry's answer
-    vector and dedup set agree; with [~after_abort:true] additionally
-    every entry is completed with no registered consumers or dependency
-    edges left behind. *)
+    vector and dedup set agree; every closed entry (see {!is_closed}) is
+    completed, holds no consumers, and depends only on closed entries;
+    with [~after_abort:true] additionally every entry is closed with no
+    dependency edges left behind. *)
+
+val is_closed : t -> Term.t -> bool
+(** [is_closed e key]: does the entry for the already-canonical call
+    [key] exist and is it {e closed} — its producer exhausted and every
+    entry it consumed from closed, or installed by the splice resolver?
+    No answer can reach a closed entry, so calls to it replay its
+    answers and register no consumer (docs/ROBUSTNESS.md). *)
+
+val retained_consumers : t -> int
+(** Consumer continuations registered on table entries right now.
+    Closed entries hold none; only entries that can still gain answers
+    (those on or depending on a dependency cycle) keep theirs. *)
 
 val stats : t -> stats
 val reset_tables : t -> unit

@@ -116,6 +116,15 @@ let path_events () =
       let e = engine_of ~guard:g path_src in
       Engine.run e (parse "path(X,Y)") (fun _ -> ()))
 
+(* Install [inject ~probe] as [e]'s guard, with a probe that checks the
+   table invariants as they stand at the fault, before recovery scrubs
+   anything: every entry closed so far must already be completed,
+   consumer-free, and closed over its deps.  The flag holds the verdict. *)
+let with_probe e inject =
+  let ok = ref true in
+  Engine.set_guard e (inject ~probe:(fun () -> ok := Engine.tables_consistent e));
+  ok
+
 (* Abort at every event of the reference run: the partial tables must
    over-approximate the full answer set wherever the queried predicate
    was explored at all, and the engine must stay usable. *)
@@ -125,13 +134,16 @@ let test_inject_abort_sweep () =
   let events = path_events () in
   Alcotest.(check bool) "reference run has events" true (events > 0);
   for n = 1 to events do
-    let e = engine_of ~guard:(Inject.abort_at n) path_src in
+    let e = engine_of path_src in
+    let at_abort = with_probe e (fun ~probe -> Inject.abort_at ~probe n) in
     let status = Engine.run_status e (parse "path(X,Y)") (fun _ -> ()) in
     (match status with
     | Guard.Partial { reason = Guard.Fault _; _ } -> ()
     | s ->
         Alcotest.failf "event %d: expected partial(fault), got %s" n
           (reason_label s));
+    if not !at_abort then
+      Alcotest.failf "event %d: tables inconsistent at the abort point" n;
     if not (Engine.tables_consistent ~after_abort:true e) then
       Alcotest.failf "event %d: tables inconsistent after abort" n;
     (* soundness: once the predicate has a table entry, every true
@@ -157,10 +169,13 @@ let test_inject_raise_sweep () =
   let full = List.sort compare (List.map show (full_path_answers ())) in
   let events = path_events () in
   for n = 1 to events do
-    let e = engine_of ~guard:(Inject.raise_at n Exit) path_src in
+    let e = engine_of path_src in
+    let at_raise = with_probe e (fun ~probe -> Inject.raise_at ~probe n Exit) in
     (match Engine.run_status e (parse "path(X,Y)") (fun _ -> ()) with
     | _ -> Alcotest.failf "event %d: expected the injected raise" n
     | exception Exit -> ());
+    if not !at_raise then
+      Alcotest.failf "event %d: tables inconsistent at the raise point" n;
     if not (Engine.tables_consistent ~after_abort:true e) then
       Alcotest.failf "event %d: tables inconsistent after recovery" n;
     Engine.set_guard e Guard.unlimited;
@@ -168,7 +183,9 @@ let test_inject_raise_sweep () =
       List.sort compare (List.map show (Engine.query e (parse "path(X,Y)")))
     in
     if again <> full then
-      Alcotest.failf "event %d: inexact answers after recovery" n
+      Alcotest.failf "event %d: inexact answers after recovery" n;
+    if not (Engine.tables_consistent e) then
+      Alcotest.failf "event %d: tables inconsistent after the re-run" n
   done
 
 (* --- partial results are sound at the analysis level ------------------- *)

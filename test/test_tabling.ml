@@ -207,6 +207,67 @@ let test_nontabled_predicates () =
     |> List.filter_map Term.functor_of
     |> List.map (fun (n, a) -> Printf.sprintf "%s/%d" n a))
 
+(* --- closed tables ------------------------------------------------------ *)
+
+(* Once an entry is complete and everything it consumed from is closed,
+   no answer can reach it: calls to it replay, and no consumer
+   continuation stays registered anywhere. *)
+let test_chain_retains_no_consumers () =
+  let e =
+    engine_of
+      "top(X, Y) :- a(X), a(Y).\n\
+       a(X) :- b(X).\n\
+       b(X) :- c(X).\n\
+       c(1). c(2)."
+  in
+  Alcotest.(check int) "answers" 4 (List.length (query_strings e "top(X, Y)"));
+  Alcotest.(check (list string)) "a replays its answers" [ "a(1)"; "a(2)" ]
+    (List.sort compare (query_strings e "a(X)"));
+  Alcotest.(check int) "no consumer retained" 0 (Engine.retained_consumers e);
+  List.iter
+    (fun c -> Alcotest.(check bool) (show c ^ " closed") true (Engine.is_closed e c))
+    (Engine.calls e);
+  Alcotest.(check bool) "invariants hold" true (Engine.tables_consistent e)
+
+(* path(a,_) -> path(b,_) -> path(c,_) -> path(a,_) is a cycle across call
+   variants: without SCC completion those entries stay open and keep
+   their consumers, while the acyclic path(d,_) closes. *)
+let test_cycle_keeps_consumers () =
+  let e =
+    engine_of
+      "edge(a,b). edge(b,c). edge(c,a). edge(c,d).\n\
+       path(X,Y) :- edge(X,Y).\n\
+       path(X,Y) :- edge(X,Z), path(Z,Y)."
+  in
+  Alcotest.(check (list string)) "reachable from a"
+    [ "path(a,a)"; "path(a,b)"; "path(a,c)"; "path(a,d)" ]
+    (List.sort compare (query_strings e "path(a, Y)"));
+  let open_, closed =
+    List.partition (fun c -> not (Engine.is_closed e c)) (Engine.calls_for e ("path", 2))
+  in
+  Alcotest.(check (list string)) "cycle entries stay open"
+    [ "path(a,A)"; "path(b,A)"; "path(c,A)" ]
+    (List.map show open_);
+  Alcotest.(check (list string)) "acyclic entry closes" [ "path(d,A)" ]
+    (List.map show closed);
+  Alcotest.(check bool) "cycle keeps its consumers" true
+    (Engine.retained_consumers e > 0);
+  Alcotest.(check bool) "invariants hold" true (Engine.tables_consistent e)
+
+let test_spliced_entry_closed () =
+  let e = engine_of "p(X) :- q(X).\nq(9)." in
+  let key = Canon.canonical Subst.empty (parse "p(X)") in
+  Engine.set_resolver e
+    (Some
+       (fun k ->
+         if Term.equal k key then Some [ parse "p(1)"; parse "p(2)" ] else None));
+  Alcotest.(check (list string)) "spliced answers replayed" [ "p(1)"; "p(2)" ]
+    (List.sort compare (query_strings e "p(X)"));
+  Alcotest.(check int) "one entry spliced" 1 (Engine.spliced_entries e);
+  Alcotest.(check bool) "spliced entry closed" true (Engine.is_closed e key);
+  Alcotest.(check int) "no consumer retained" 0 (Engine.retained_consumers e);
+  Alcotest.(check bool) "invariants hold" true (Engine.tables_consistent e)
+
 (* Property: on random acyclic graphs, tabled reachability agrees with a
    direct OCaml reachability computation. *)
 let prop_reachability =
@@ -277,6 +338,15 @@ let () =
           Alcotest.test_case "nonground answers" `Quick test_nonground_answers;
           Alcotest.test_case "table space" `Quick test_table_space_positive;
           Alcotest.test_case "reset" `Quick test_reset_tables;
+        ] );
+      ( "closed",
+        [
+          Alcotest.test_case "chain retains no consumers" `Quick
+            test_chain_retains_no_consumers;
+          Alcotest.test_case "cycle keeps consumers" `Quick
+            test_cycle_keeps_consumers;
+          Alcotest.test_case "spliced entry closed" `Quick
+            test_spliced_entry_closed;
         ] );
       ( "engine",
         [
