@@ -319,8 +319,11 @@ let drain_cmd =
           in-flight jobs, remove the socket, exit")
     Term.(const run $ socket_arg)
 
+(* praxd keeps OCaml's default nursery: every job runs in a forked
+   worker that lives for one analysis, and a large minor heap costs each
+   of them page faults and resident memory for nothing
+   (docs/PERFORMANCE.md "Workload-sized nursery"). *)
 let () =
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 };
   Analyses.ensure ();
   let doc = "resident analysis daemon over the prax worker fleet" in
   exit

@@ -218,6 +218,7 @@ type running = {
   mutable r_stderr_dropped : bool;
   mutable r_watchdog_killed : bool;
   mutable r_exit : Unix.process_status option;
+  mutable r_eof_at : float option;  (* when both pipes reached EOF *)
   (* carried across attempts of the same job *)
   r_crashes : crash list;
   r_first_spawn : float;
@@ -332,18 +333,37 @@ module Pool = struct
       (fun r -> Option.to_list r.r_result_fd @ Option.to_list r.r_stderr_fd)
       t.p_running
 
+  (* A worker whose pipes are both at EOF but which [waitpid] has not
+     reaped yet is inside [_exit]: nothing will show on the select set
+     when it is gone, so poll for it, backing off by as long as it has
+     been exiting (10 ms to 0.5 s) so one that closes its pipes and
+     then hangs costs a few wakeups until the watchdog, not a spin. *)
   let next_wake t =
+    let now = Unix.gettimeofday () in
     let deadlines =
       List.filter_map
         (fun r -> if r.r_watchdog_killed then None else r.r_deadline)
         t.p_running
     in
-    let ready =
+    let exiting =
       List.filter_map
-        (fun w -> if w.w_ready_at > 0. then Some w.w_ready_at else None)
-        t.p_waiting
+        (fun r ->
+          match r.r_eof_at with
+          | Some eof when r.r_exit = None ->
+              Some (now +. Float.min 0.5 (Float.max 0.01 (now -. eof)))
+          | _ -> None)
+        t.p_running
     in
-    match deadlines @ ready with
+    (* a retry that has no slot to start in needs no wake: freeing the
+       slot wakes the host through the exiting worker *)
+    let ready =
+      if List.length t.p_running >= t.p_config.jobs then []
+      else
+        List.filter_map
+          (fun w -> if w.w_ready_at > 0. then Some w.w_ready_at else None)
+          t.p_waiting
+    in
+    match deadlines @ exiting @ ready with
     | [] -> None
     | l -> Some (List.fold_left Float.min (List.hd l) (List.tl l))
 
@@ -397,6 +417,7 @@ module Pool = struct
             r_stderr_dropped = false;
             r_watchdog_killed = false;
             r_exit = None;
+            r_eof_at = None;
             r_crashes = w.w_crashes;
             r_first_spawn = Option.value w.w_first_spawn ~default:now;
             r_backoff = w.w_backoff;
@@ -421,7 +442,9 @@ module Pool = struct
             Unix.close fd;
             (match which with
             | `Result -> r.r_result_fd <- None
-            | `Stderr -> r.r_stderr_fd <- None)
+            | `Stderr -> r.r_stderr_fd <- None);
+            if r.r_result_fd = None && r.r_stderr_fd = None then
+              r.r_eof_at <- Some (Unix.gettimeofday ())
         | n -> (
             match which with
             | `Result ->
@@ -515,15 +538,14 @@ module Pool = struct
               backoff = r.r_backoff;
             }
 
-  let step t ~readable : report list =
-    let config = t.p_config in
+  (* fill free slots with due work, earliest-ready first *)
+  let fill t =
     let now = Unix.gettimeofday () in
-    (* fill free slots with due work, earliest-ready first *)
     let due, not_due =
       List.partition (fun w -> w.w_ready_at <= now) t.p_waiting
     in
     let due = List.sort (fun a b -> compare a.w_ready_at b.w_ready_at) due in
-    let free = config.jobs - List.length t.p_running in
+    let free = t.p_config.jobs - List.length t.p_running in
     let to_spawn, overflow =
       if free >= List.length due then (due, [])
       else
@@ -531,7 +553,10 @@ module Pool = struct
           List.filteri (fun i _ -> i >= free) due )
     in
     t.p_waiting <- overflow @ not_due;
-    List.iter (spawn t now) to_spawn;
+    List.iter (spawn t now) to_spawn
+
+  let step t ~readable : report list =
+    let config = t.p_config in
     (* drain whatever the host's select saw *)
     List.iter
       (fun r ->
@@ -587,7 +612,10 @@ module Pool = struct
         t.p_running
     in
     t.p_running <- still;
-    List.filter_map (finalize t now) done_
+    let reports = List.filter_map (finalize t now) done_ in
+    (* slots freed this round take their next job now, not a wake later *)
+    fill t;
+    reports
 
   let cancel_pending t =
     let cancelled = List.map (fun w -> w.w_job) t.p_waiting in

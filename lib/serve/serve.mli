@@ -152,13 +152,16 @@ module Pool : sig
   val next_wake : t -> float option
   (** Earliest absolute time ({!Unix.gettimeofday} clock) at which the
       pool needs a {!step} even without fd activity: the nearest
-      watchdog deadline or retry-backoff expiry.  [None] when only fd
-      activity matters. *)
+      watchdog deadline, the next poll of a worker whose pipes are both
+      at EOF but which has not been reaped yet (it is exiting; the poll
+      backs off by as long as it has been exiting, from 10 ms to
+      0.5 s), or a retry-backoff expiry when a slot is free for it.
+      [None] when only fd activity matters. *)
 
   val step : t -> readable:Unix.file_descr list -> report list
-  (** One non-blocking supervision round: spawn due work into free
-      slots, drain [readable] pipes, SIGKILL watchdog-expired and
-      frame-overflowing workers, reap exits, finalize.  Crashed
+  (** One non-blocking supervision round: drain [readable] pipes,
+      SIGKILL watchdog-expired and frame-overflowing workers, reap
+      exits, finalize, then spawn due work into free slots.  Crashed
       attempts with retries left are re-enqueued internally; the
       returned reports are final.  Call with [readable:[]] to run
       timers only. *)

@@ -144,6 +144,7 @@ type stats = {
 }
 
 type entry = {
+  id : int;  (** unique within the engine; keys its demand edges *)
   call : Term.t;  (** canonical (post-abstraction) *)
   answers : Term.t Vec.t;
   answer_set : unit Trie.t;
@@ -168,6 +169,8 @@ type entry = {
           dependency cycle stay open. *)
   mutable mark : bool;  (** scratch for abort-recovery closure computation *)
 }
+
+module Edges = Hashtbl.Make (Int)
 
 type t = {
   db : Database.t;
@@ -197,6 +200,11 @@ type t = {
           them as the entry's complete answer set and the producer is
           skipped (docs/INCREMENTAL.md) *)
   mutable spliced : int;  (** entries installed by the splice resolver *)
+  edges : unit Edges.t;
+      (** every (owner, dep) pair in some entry's [deps], keyed by
+          {!edge_key}, so a demand edge is recorded once however often
+          interleaved calls repeat it *)
+  mutable next_entry_id : int;
 }
 
 and builtin = t -> Subst.t -> Term.t array -> (Subst.t -> unit) -> unit
@@ -260,6 +268,8 @@ let create ?(hooks = concrete_hooks) ?(tabled = fun _ -> true)
     run_depth = 0;
     resolver = None;
     spliced = 0;
+    edges = Edges.create 64;
+    next_entry_id = 0;
   }
 
 let set_guard e g = e.guard <- g
@@ -298,6 +308,10 @@ let grow_space e words =
 
 let table_space_bytes e : int = 8 * e.space_words
 
+(* Entry ids stay far below 2^31, so an (owner, dep) pair packs into
+   one int. *)
+let edge_key owner dep = (owner.id lsl 31) lor dep.id
+
 (* No answer can reach a closed entry any more: its consumers have seen
    every answer it will ever have, so drop them (and the caller
    substitutions and continuations they hold). *)
@@ -316,7 +330,9 @@ let close entry =
    construction — only Complete runs persist). *)
 let find_entry e key =
   let mk_entry () =
+    e.next_entry_id <- e.next_entry_id + 1;
     {
+      id = e.next_entry_id;
       call = key;
       answers = Vec.create ();
       answer_set = Trie.create ();
@@ -447,8 +463,11 @@ and solve_tabled e s goal sc =
   in
   (match owner with
   | Some p ->
-      let n = Vec.length p.deps in
-      if n = 0 || Vec.get p.deps (n - 1) != entry then Vec.push p.deps entry
+      let k = edge_key p entry in
+      if not (Edges.mem e.edges k) then begin
+        Edges.add e.edges k ();
+        Vec.push p.deps entry
+      end
   | None -> ());
   (* The consumer: unify a (renamed-apart) canonical answer with our goal
      instance.  With abstraction enabled the call in the table may be more
@@ -617,6 +636,7 @@ let force_complete_tables e =
       end;
       scrub_entry entry)
     e.tables;
+  Edges.reset e.edges;
   e.producing <- [];
   !widened
 
@@ -655,6 +675,7 @@ let recover_after_error e =
           e.space_words <-
             e.space_words + fresh_nodes + entry_overhead + entry.answer_space)
     survivors;
+  Edges.reset e.edges;
   e.tables <- tables;
   e.producing <- []
 
@@ -663,19 +684,25 @@ let recover_after_error e =
    no consumers, and consumes only from closed entries; and after any
    abort every entry is closed with no dependency edges left. *)
 let tables_consistent ?(after_abort = false) e : bool =
+  let ndeps = ref 0 in
   Trie.fold
     (fun _ entry ok ->
+      ndeps := !ndeps + Vec.length entry.deps;
       ok
       && Vec.length entry.answers = Trie.cardinal entry.answer_set
       && Vec.fold
            (fun acc a -> acc && Trie.mem entry.answer_set a)
            true entry.answers
+      && Vec.fold
+           (fun acc d -> acc && Edges.mem e.edges (edge_key entry d))
+           true entry.deps
       && ((not entry.closed)
          || entry.completed
             && Vec.length entry.consumers = 0
             && Vec.fold (fun acc d -> acc && d.closed) true entry.deps)
       && ((not after_abort) || (entry.closed && Vec.length entry.deps = 0)))
     e.tables true
+  && Edges.length e.edges = !ndeps
   && (not after_abort || e.producing = [])
 
 (* --- public API -------------------------------------------------------- *)
@@ -860,6 +887,14 @@ let export_tables e : exported list =
 let retained_consumers e : int =
   Trie.fold (fun _ entry n -> n + Vec.length entry.consumers) e.tables 0
 
+(* Demand edges recorded more than once, summed over entries. *)
+let duplicate_deps e : int =
+  Trie.fold
+    (fun _ entry n ->
+      let ids = Vec.fold (fun acc d -> d.id :: acc) [] entry.deps in
+      n + List.length ids - List.length (List.sort_uniq Int.compare ids))
+    e.tables 0
+
 let is_closed e (key : Term.t) : bool =
   match Trie.find_opt e.tables key with
   | Some entry -> entry.closed
@@ -869,6 +904,7 @@ let stats e = e.stats
 
 let reset_tables e =
   Trie.clear e.tables;
+  Edges.reset e.edges;
   e.space_words <- 0;
   e.producing <- [];
   e.run_depth <- 0;

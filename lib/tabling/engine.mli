@@ -222,7 +222,8 @@ val table_digest : t -> string
 
 val tables_consistent : ?after_abort:bool -> t -> bool
 (** Table invariants, for tests and debugging: every entry's answer
-    vector and dedup set agree; every closed entry (see {!is_closed}) is
+    vector and dedup set agree, and so do the entries' demand edges and
+    the engine's set of them; every closed entry (see {!is_closed}) is
     completed, holds no consumers, and depends only on closed entries;
     with [~after_abort:true] additionally every entry is closed with no
     dependency edges left behind. *)
@@ -238,6 +239,11 @@ val retained_consumers : t -> int
 (** Consumer continuations registered on table entries right now.
     Closed entries hold none; only entries that can still gain answers
     (those on or depending on a dependency cycle) keep theirs. *)
+
+val duplicate_deps : t -> int
+(** Demand edges ([deps]) an entry records more than once, summed over
+    all entries.  Each edge is recorded once, so this is 0; a test
+    accessor. *)
 
 val stats : t -> stats
 val reset_tables : t -> unit

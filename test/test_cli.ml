@@ -19,6 +19,7 @@ let bin name =
 
 let xanalyze = bin "xanalyze.exe"
 let praxtop = bin "praxtop.exe"
+let praxd = bin "praxd.exe"
 
 (* --- process plumbing ---------------------------------------------------- *)
 
@@ -438,6 +439,84 @@ let test_batch_sigterm_interrupt () =
       Alcotest.failf "orphaned workers left behind: %s"
         (String.concat ", " (List.map string_of_int orphans))
 
+(* --- praxd under a memory cap ---------------------------------------------- *)
+
+(* The daemon must start, and fork a worker that answers, inside a 2 GB
+   address-space cap: OCaml reserves every domain's minor heap up front,
+   so an oversized nursery fails at startup with "Not enough heap memory
+   to reserve minor heaps". *)
+let test_praxd_under_memory_cap () =
+  with_temp_dir "prax-cap" (fun dir ->
+      let socket = Filename.concat dir "d.sock" in
+      let src = Filename.concat dir "t.pl" in
+      Out_channel.with_open_text src (fun oc ->
+          output_string oc "p(a). q(X) :- p(X).\n");
+      let err_path = Filename.concat dir "stderr" in
+      let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+      let err =
+        Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
+          0o644
+      in
+      let pid =
+        Unix.create_process "/bin/sh"
+          [|
+            "/bin/sh"; "-c";
+            "ulimit -v 2000000 && exec \"$0\" serve --socket \"$1\" -q";
+            praxd; socket;
+          |]
+          null null err
+      in
+      Unix.close null;
+      Unix.close err;
+      let reaped = ref None in
+      let poll_exit () =
+        if !reaped = None then
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ -> ()
+          | _, st -> reaped := Some st
+      in
+      let describe = function
+        | Unix.WEXITED c -> Printf.sprintf "exit %d" c
+        | Unix.WSIGNALED sg -> Printf.sprintf "killed by OCaml signal %d" sg
+        | Unix.WSTOPPED sg -> Printf.sprintf "stopped by OCaml signal %d" sg
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          poll_exit ();
+          if !reaped = None then begin
+            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+            ignore (Unix.waitpid [] pid)
+          end)
+        (fun () ->
+          let rec wait_ready n =
+            poll_exit ();
+            match !reaped with
+            | Some st ->
+                Alcotest.failf
+                  "praxd under ulimit -v 2000000 ended (%s), stderr %S"
+                  (describe st)
+                  (In_channel.with_open_text err_path In_channel.input_all)
+            | None ->
+                if (run [ praxd; "ping"; "--socket"; socket ]).code <> 0 then
+                  if n = 0 then Alcotest.fail "praxd never answered a ping"
+                  else begin
+                    Unix.sleepf 0.05;
+                    wait_ready (n - 1)
+                  end
+          in
+          wait_ready 200;
+          let r =
+            run
+              [ xanalyze; "client"; "analyze"; "groundness"; src; "--socket";
+                socket ]
+          in
+          check_code "analyze through the capped daemon" 0 r;
+          Alcotest.(check bool) "report printed" true (String.length r.out > 0);
+          check_code "drain" 0 (run [ praxd; "drain"; "--socket"; socket ]);
+          let _, st = Unix.waitpid [] pid in
+          reaped := Some st;
+          Alcotest.(check string) "daemon exits cleanly" "exit 0" (describe st)))
+
 (* --- praxtop session behavior -------------------------------------------- *)
 
 let test_praxtop_eof_halts () =
@@ -494,6 +573,11 @@ let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "cli"
     [
+      ( "praxd",
+        [
+          Alcotest.test_case "starts under a 2 GB memory cap" `Quick
+            test_praxd_under_memory_cap;
+        ] );
       ( "exit-codes",
         [
           Alcotest.test_case "0 = complete" `Quick test_exit_complete;

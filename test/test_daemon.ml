@@ -511,6 +511,34 @@ let test_analyze_and_warm_cache () =
       Alcotest.(check bool) "pidfile removed" false
         (Sys.file_exists (socket ^ ".pid")))
 
+(* A cold request costs its analysis plus a fork, not a wait for the
+   daemon's 0.5 s select tick: the worker's exit is reaped as soon as it
+   happens. *)
+let test_cold_requests_are_prompt () =
+  with_daemon (fun ~socket ~pid:_ ->
+      let latencies =
+        List.init 5 (fun i ->
+            let source =
+              Printf.sprintf "p%d(a). q%d(X) :- p%d(X). r(X, Y) :- q%d(X), p%d(Y)."
+                i i i i i
+            in
+            let req =
+              analyze_req ~input:(Printf.sprintf "cold%d.pl" i) ~source ()
+            in
+            let t0 = Unix.gettimeofday () in
+            let status, _ = request_status socket req in
+            let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+            Alcotest.(check string) (Printf.sprintf "request %d cold" i)
+              "complete" status;
+            ms)
+      in
+      let median = List.nth (List.sort Float.compare latencies) 2 in
+      Alcotest.(check bool)
+        (Printf.sprintf "median cold latency %.1f ms under 100 ms (%s)" median
+           (String.concat ", "
+              (List.map (Printf.sprintf "%.1f") latencies)))
+        true (median < 100.))
+
 let test_worker_crash_absorbed () =
   (* a first-attempt SIGKILL in the worker is retried to completion:
      the client sees a complete result, never the crash *)
@@ -1207,6 +1235,8 @@ let () =
         [
           Alcotest.test_case "analyze, warm cache, stats, drain" `Quick
             test_analyze_and_warm_cache;
+          Alcotest.test_case "cold requests answered within 100 ms" `Quick
+            test_cold_requests_are_prompt;
           Alcotest.test_case "worker crash absorbed by retries" `Quick
             test_worker_crash_absorbed;
           Alcotest.test_case "queue-full shed + drain kills stragglers" `Quick

@@ -147,6 +147,147 @@ let test_hang_then_recover () =
       Alcotest.(check bool) "backoff was waited" true (r.Serve.backoff > 0.)
   | _ -> Alcotest.fail "one report expected"
 
+(* --- wakeups: exiting workers and waiting retries ------------------------ *)
+
+(* A worker closes its pipes just before it exits, so the last thing the
+   host's select sees is EOF while the worker is still alive; the pool
+   must wake the host to reap it, not leave the result to the host's
+   0.5 s tick.  Each worker touches 8 MB of heap, as any analysis does:
+   with that to tear down, [waitpid] usually still sees it alive at EOF,
+   while a worker with a bare heap is mostly gone by then. *)
+let test_trivial_jobs_finish_promptly () =
+  let reports =
+    Serve.run_batch ~config:quick_config
+      ~worker:(fun ~job ~attempt:_ ~guard:_ ->
+        ignore (Sys.opaque_identity (Array.make 1_000_000 0));
+        (Serve.Complete, payload_for job))
+      [ "one"; "two"; "three"; "four" ]
+  in
+  List.iter
+    (fun r ->
+      check_class "complete" r;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s reaped within 100 ms (took %.0f ms)" r.Serve.job
+           (r.Serve.elapsed *. 1e3))
+        true
+        (r.Serve.elapsed < 0.1))
+    reports
+
+(* one round of a host loop shaped like [run_batch]'s: select on the
+   pool's pipes until its next wake, 10 ms floor, 0.5 s tick *)
+let host_round pool =
+  let now = Unix.gettimeofday () in
+  let wake =
+    match Serve.Pool.next_wake pool with
+    | Some w -> Float.min w (now +. 0.5)
+    | None -> now +. 0.5
+  in
+  let timeout = Float.max 0.01 (wake -. now) in
+  let readable =
+    match Serve.Pool.fds pool with
+    | [] ->
+        Unix.sleepf timeout;
+        []
+    | fds -> (
+        match Unix.select fds [] [] timeout with
+        | r, _, _ -> r
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> [])
+  in
+  Serve.Pool.step pool ~readable
+
+(* [Unix.file_descr] is the bare descriptor number on Unix *)
+let fd_of_int (n : int) : Unix.file_descr = Obj.magic n
+
+(* A worker that closes both its pipes and then hangs looks exactly like
+   one inside [_exit].  The exiting-worker poll backs off, so the host
+   steps a handful of times until the watchdog kills it, not 100 times
+   a second. *)
+let test_closed_pipes_then_hang_is_bounded () =
+  let pool =
+    Serve.Pool.create
+      ~config:{ quick_config with Serve.retries = 0; job_timeout = Some 1.0 }
+      ~worker:(fun ~job:_ ~attempt:_ ~guard:_ ->
+        Array.iter
+          (fun name ->
+            match int_of_string_opt name with
+            | Some n when n >= 2 -> (
+                try Unix.close (fd_of_int n) with Unix.Unix_error _ -> ())
+            | _ -> ())
+          (Sys.readdir "/proc/self/fd");
+        Unix.sleepf 30.;
+        Unix._exit 0)
+      ()
+  in
+  Serve.Pool.submit pool "silent";
+  let steps = ref 0 and reports = ref [] in
+  let deadline = Unix.gettimeofday () +. 10. in
+  while !reports = [] && Unix.gettimeofday () < deadline do
+    incr steps;
+    reports := host_round pool
+  done;
+  ignore (Serve.Pool.kill_all pool);
+  (match !reports with
+  | [ { Serve.outcome = Serve.Crashed { what; _ }; _ } ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "finalized by the watchdog (got %S)" what)
+        true
+        (String.length what >= 8 && String.sub what 0 8 = "watchdog")
+  | [ _ ] -> Alcotest.fail "hung worker reported Done"
+  | _ -> Alcotest.fail "hung worker never finalized");
+  Alcotest.(check bool)
+    (Printf.sprintf "bounded wakeups over the 1 s wait (%d steps)" !steps)
+    true (!steps <= 30)
+
+(* A retry whose backoff has passed but which has no free slot cannot
+   start, so it must not make the host poll: with one slot held by a
+   long job, [next_wake] offers no time in the past. *)
+let test_blocked_retry_does_not_poll () =
+  let base_crashes = counter "serve.crashes" in
+  let pool =
+    Serve.Pool.create
+      ~config:
+        {
+          quick_config with
+          Serve.jobs = 1;
+          retries = 1;
+          backoff_base = 0.05;
+          backoff_jitter = 0.;
+        }
+      ~worker:(fun ~job ~attempt ~guard:_ ->
+        if String.equal job "flaky" && attempt = 1 then Unix._exit 70;
+        if String.equal job "busy" then Unix.sleepf 30.;
+        (Serve.Complete, payload_for job))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () -> ignore (Serve.Pool.kill_all pool))
+    (fun () ->
+      Serve.Pool.submit pool "flaky";
+      Serve.Pool.submit pool "busy";
+      (* run until the crash is reaped and "busy" holds the only slot
+         with the retry queued behind it *)
+      let deadline = Unix.gettimeofday () +. 10. in
+      while
+        not
+          (counter "serve.crashes" > base_crashes
+          && Serve.Pool.inflight pool = 1
+          && Serve.Pool.pending pool = 1)
+      do
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "retry never queued behind the busy worker";
+        ignore (host_round pool)
+      done;
+      (* let the retry's backoff run out *)
+      Unix.sleepf 0.1;
+      let now = Unix.gettimeofday () in
+      match Serve.Pool.next_wake pool with
+      | None -> ()
+      | Some w ->
+          Alcotest.(check bool)
+            (Printf.sprintf "next wake %.3f s from now is not in the past"
+               (w -. now))
+            true (w >= now))
+
 (* --- guard faults surface as Partial, not crashes ------------------------ *)
 
 let nat_src = "nat(0). nat(s(X)) :- nat(X)."
@@ -359,6 +500,15 @@ let () =
             test_watchdog_kills_hung_worker;
           Alcotest.test_case "hang then recover via retry" `Quick
             test_hang_then_recover;
+        ] );
+      ( "wakeups",
+        [
+          Alcotest.test_case "trivial jobs reaped within 100 ms" `Quick
+            test_trivial_jobs_finish_promptly;
+          Alcotest.test_case "closed pipes then hang: bounded steps" `Quick
+            test_closed_pipes_then_hang_is_bounded;
+          Alcotest.test_case "blocked retry does not poll" `Quick
+            test_blocked_retry_does_not_poll;
         ] );
       ( "degradation",
         [

@@ -268,6 +268,22 @@ let test_spliced_entry_closed () =
   Alcotest.(check int) "no consumer retained" 0 (Engine.retained_consumers e);
   Alcotest.(check bool) "invariants hold" true (Engine.tables_consistent e)
 
+(* A producer whose body alternates between the same callees demands
+   each of them several times over; every demand edge is still recorded
+   once. *)
+let test_interleaved_calls_dedup_deps () =
+  let e =
+    engine_of
+      "top(X, Y) :- q(X), r(Y).\n\
+       top(X, Y) :- r(X), q(Y).\n\
+       top(X, Y) :- q(X), r(Y), q(Y).\n\
+       q(1). q(2). q(a).\n\
+       r(a). r(b). r(1)."
+  in
+  Alcotest.(check int) "answers" 14 (List.length (query_strings e "top(X, Y)"));
+  Alcotest.(check int) "no duplicate demand edge" 0 (Engine.duplicate_deps e);
+  Alcotest.(check bool) "invariants hold" true (Engine.tables_consistent e)
+
 (* Property: on random acyclic graphs, tabled reachability agrees with a
    direct OCaml reachability computation. *)
 let prop_reachability =
@@ -347,6 +363,8 @@ let () =
             test_cycle_keeps_consumers;
           Alcotest.test_case "spliced entry closed" `Quick
             test_spliced_entry_closed;
+          Alcotest.test_case "interleaved calls record each dep once" `Quick
+            test_interleaved_calls_dedup_deps;
         ] );
       ( "engine",
         [
